@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -111,11 +112,15 @@ var entries = []struct {
 	{"Figure10CPI", func(b *testing.B) {
 		b.ReportAllocs()
 		bud := benchBudget()
+		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			for _, p := range benchProfiles() {
-				base := experiments.Simulate(p, experiments.Parity1D, bud)
-				cp := experiments.Simulate(p, experiments.CPPC, bud)
-				td := experiments.Simulate(p, experiments.TwoDim, bud)
+				base, err1 := experiments.SimulateCtx(ctx, p, experiments.Parity1D, bud)
+				cp, err2 := experiments.SimulateCtx(ctx, p, experiments.CPPC, bud)
+				td, err3 := experiments.SimulateCtx(ctx, p, experiments.TwoDim, bud)
+				if err := errors.Join(err1, err2, err3); err != nil {
+					panic(err)
+				}
 				if cp.CPI < base.CPI*0.99 || td.CPI < base.CPI*0.99 {
 					panic("CPI ordering broken")
 				}
@@ -234,7 +239,7 @@ var entries = []struct {
 		}
 		bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
 		for i := 0; i < b.N; i++ {
-			run, err := experiments.MulticoreCell(p, 2, 0.3, false, bud)
+			run, err := experiments.MulticoreCellCtx(context.Background(), p, 2, 0.3, false, bud)
 			if err != nil || run.CPI <= 0 {
 				panic(fmt.Sprintf("multicore cell broke: cpi=%v err=%v", run.CPI, err))
 			}
@@ -253,7 +258,7 @@ var entries = []struct {
 		}
 		bud := experiments.Budget{Warmup: 5_000, Measure: 15_000, Seed: 1}
 		for i := 0; i < b.N; i++ {
-			run, err := experiments.MulticoreCell(p, 2, 0.3, true, bud)
+			run, err := experiments.MulticoreCellCtx(context.Background(), p, 2, 0.3, true, bud)
 			if err != nil || run.TotalEnergyPJ() <= 0 {
 				panic(fmt.Sprintf("multicore energy cell broke: e=%v err=%v", run.TotalEnergyPJ(), err))
 			}

@@ -5,12 +5,17 @@
 //	cppcsim -bench mcf -scheme cppc
 //	cppcsim -bench gzip -scheme parity-2d -n 2000000
 //	cppcsim -list
+//
+// SIGINT/SIGTERM cancel a simulation cleanly mid-run.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"cppc/internal/cache"
 	"cppc/internal/energy"
@@ -31,6 +36,11 @@ func main() {
 		replay = flag.String("tracefile", "", "replay a recorded trace instead of a synthetic benchmark")
 	)
 	flag.Parse()
+
+	// SIGINT/SIGTERM cancel the context; the instruction loop polls it,
+	// so an interrupted simulation exits cleanly instead of being killed.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	if *record != "" {
 		prof, ok := trace.ProfileByName(*bench)
@@ -85,12 +95,15 @@ func main() {
 	}
 	budget := experiments.Budget{Warmup: *warmup, Measure: *n, Seed: *seed}
 
-	var run experiments.Run
+	var (
+		run experiments.Run
+		err error
+	)
 	workload := *bench
 	if *replay != "" {
-		f, err := os.Open(*replay)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		f, ferr := os.Open(*replay)
+		if ferr != nil {
+			fmt.Fprintln(os.Stderr, ferr)
 			os.Exit(1)
 		}
 		src, perr := trace.ParseTrace(f)
@@ -100,14 +113,18 @@ func main() {
 			os.Exit(1)
 		}
 		workload = *replay
-		run = experiments.SimulateSource(workload, src, id, budget)
+		run, err = experiments.SimulateSourceCtx(ctx, workload, src, id, budget)
 	} else {
 		prof, ok := trace.ProfileByName(*bench)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown benchmark %q (use -list)\n", *bench)
 			os.Exit(1)
 		}
-		run = experiments.Simulate(prof, id, budget)
+		run, err = experiments.SimulateCtx(ctx, prof, id, budget)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cppcsim: interrupted: %v\n", err)
+		os.Exit(1)
 	}
 
 	t := tables.New(fmt.Sprintf("%s on %s (%d instructions)", *scheme, workload, *n),

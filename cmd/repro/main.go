@@ -183,18 +183,10 @@ func main() {
 		for _, run := range []func() (string, error){
 			func() (string, error) { return experiments.PairAblationCtx(campCtx, *trials, *seed) },
 			func() (string, error) { return experiments.ParityAblationCtx(campCtx, *trials, *seed) },
-		} {
-			out, err := run()
-			if err != nil {
-				fail(err)
-			}
-			fmt.Println(out)
-		}
-		for _, run := range []func() (string, error){
-			func() (string, error) { return experiments.SinglePortAblation(budget) },
-			func() (string, error) { return experiments.EarlyWritebackAblation(200_000, *seed) },
-			func() (string, error) { return experiments.ICacheAblation(budget) },
-			func() (string, error) { return experiments.SilentStoreAblation(budget) },
+			func() (string, error) { return experiments.SinglePortAblation(ctx, budget) },
+			func() (string, error) { return experiments.EarlyWritebackAblation(ctx, 200_000, *seed) },
+			func() (string, error) { return experiments.ICacheAblation(ctx, budget) },
+			func() (string, error) { return experiments.SilentStoreAblation(ctx, budget) },
 		} {
 			out, err := run()
 			if err != nil {

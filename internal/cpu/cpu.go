@@ -208,11 +208,6 @@ type Core struct {
 	srcPos, srcLen int
 }
 
-// NewCore wires a core to a single-core data-cache controller stack.
-func NewCore(cfg Config, d *protect.Controller) *Core {
-	return NewCoreWithPort(cfg, ControllerPort{Ctrl: d})
-}
-
 // doneRingMin is the floor for the dependency-tracking ring. Producer
 // distances are bounded well below it: trace generation draws Dep1 ≤
 // DepDistance and Dep2 ≤ 2·DepDistance, and the largest profile
@@ -312,13 +307,6 @@ func (c *Core) Release() {
 	c.done, c.lsqRing = nil, nil
 }
 
-// Run executes n instructions from src (a synthetic generator or a
-// recorded trace) and returns timing results.
-func (c *Core) Run(src trace.Source, n int) Result {
-	res, _ := c.RunCtx(context.Background(), src, n)
-	return res
-}
-
 // Ring index helpers: a mask when the ring length is a power of two, a
 // division otherwise.
 func (c *Core) doneIdx(i uint64) uint64 {
@@ -340,9 +328,11 @@ func (c *Core) lsqIdx(i uint64) uint64 {
 // enough that multi-million-instruction runs abort within microseconds.
 const cancelPollInstrs = 4096
 
-// RunCtx is Run with cooperative cancellation: the context is polled
-// every few thousand instructions, and on cancellation the partial
-// result accumulated so far is returned alongside the context's error.
+// RunCtx executes n instructions from src (a synthetic generator or a
+// recorded trace) and returns timing results. Cycles are cumulative
+// over the core's runs. The context is polled every few thousand
+// instructions, and on cancellation the partial result accumulated so
+// far is returned alongside the context's error.
 func (c *Core) RunCtx(ctx context.Context, src trace.Source, n int) (Result, error) {
 	var res Result
 	var lastDone uint64

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"testing"
 
 	"cppc/internal/core"
@@ -14,6 +15,35 @@ func gzipProfile() trace.Profile {
 		panic("gzip profile missing")
 	}
 	return p
+}
+
+// runBenchmark executes n instructions of a profile on a fresh Table 1
+// core over sys's stack port.
+func runBenchmark(t *testing.T, prof trace.Profile, n int, seed int64, sys *System) Result {
+	t.Helper()
+	c := NewCoreWithPort(Table1Config(), sys.Port())
+	defer c.Release()
+	return run(t, c, prof.NewGen(seed), n)
+}
+
+// run executes n instructions from src on c.
+func run(t *testing.T, c *Core, src trace.Source, n int) Result {
+	t.Helper()
+	res, err := c.RunCtx(context.Background(), src, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runWarm is RunSourceWarmCtx on a background context.
+func runWarm(t *testing.T, src trace.Source, warmup, measure int, sys *System) Result {
+	t.Helper()
+	res, err := RunSourceWarmCtx(context.Background(), src, warmup, measure, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestTable1Config(t *testing.T) {
@@ -70,7 +100,7 @@ func TestPortReserveAndSteal(t *testing.T) {
 
 func TestCPIGreaterThanIdeal(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	res := RunBenchmark(gzipProfile(), 100000, 1, sys)
+	res := runBenchmark(t, gzipProfile(), 100000, 1, sys)
 	if res.Instructions != 100000 {
 		t.Fatalf("instructions = %d", res.Instructions)
 	}
@@ -85,8 +115,8 @@ func TestCPIGreaterThanIdeal(t *testing.T) {
 }
 
 func TestCPIDeterministic(t *testing.T) {
-	a := RunBenchmark(gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
-	b := RunBenchmark(gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	a := runBenchmark(t, gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	b := runBenchmark(t, gzipProfile(), 50000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
 	if a.CPI != b.CPI || a.Cycles != b.Cycles {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
@@ -97,9 +127,9 @@ func TestCPIDeterministic(t *testing.T) {
 // parity costs at least as much as CPPC.
 func TestFigure10Ordering(t *testing.T) {
 	const n = 300000
-	base := RunBenchmark(gzipProfile(), n, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
-	cppc := RunBenchmark(gzipProfile(), n, 1, NewSystem(CPPCFactory(core.DefaultL1Config()), Parity1DFactory()))
-	twod := RunBenchmark(gzipProfile(), n, 1, NewSystem(TwoDimFactory(), Parity1DFactory()))
+	base := runBenchmark(t, gzipProfile(), n, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	cppc := runBenchmark(t, gzipProfile(), n, 1, NewSystem(CPPCFactory(core.DefaultL1Config()), Parity1DFactory()))
+	twod := runBenchmark(t, gzipProfile(), n, 1, NewSystem(TwoDimFactory(), Parity1DFactory()))
 
 	if cppc.CPI < base.CPI*0.999 {
 		t.Errorf("CPPC CPI %.4f below parity baseline %.4f", cppc.CPI, base.CPI)
@@ -116,7 +146,7 @@ func TestFigure10Ordering(t *testing.T) {
 
 func TestL2SeesTraffic(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	RunBenchmark(gzipProfile(), 100000, 1, sys)
+	runBenchmark(t, gzipProfile(), 100000, 1, sys)
 	if sys.L2().Stats.Accesses() == 0 {
 		t.Fatal("no L2 traffic")
 	}
@@ -128,10 +158,10 @@ func TestL2SeesTraffic(t *testing.T) {
 func TestMcfMissesHard(t *testing.T) {
 	mcf, _ := trace.ProfileByName("mcf")
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	RunBenchmark(mcf, 200000, 1, sys)
+	runBenchmark(t, mcf, 200000, 1, sys)
 	easy := NewSystem(Parity1DFactory(), Parity1DFactory())
 	eon, _ := trace.ProfileByName("eon")
-	RunBenchmark(eon, 200000, 1, easy)
+	runBenchmark(t, eon, 200000, 1, easy)
 	if sys.L1().Stats.MissRate() <= easy.L1().Stats.MissRate() {
 		t.Errorf("mcf L1 miss rate %.3f not above eon %.3f",
 			sys.L1().Stats.MissRate(), easy.L1().Stats.MissRate())
@@ -145,9 +175,9 @@ func TestMcfMissesHard(t *testing.T) {
 func TestBranchPenaltySlowsDown(t *testing.T) {
 	p := gzipProfile()
 	p.BranchMispredictRate = 0
-	fast := RunBenchmark(p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	fast := runBenchmark(t, p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
 	p.BranchMispredictRate = 0.3
-	slow := RunBenchmark(p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
+	slow := runBenchmark(t, p, 100000, 1, NewSystem(Parity1DFactory(), Parity1DFactory()))
 	if slow.CPI <= fast.CPI {
 		t.Errorf("mispredictions did not slow the core: %.3f vs %.3f", slow.CPI, fast.CPI)
 	}
@@ -167,14 +197,14 @@ func TestICacheModeling(t *testing.T) {
 	p := gzipProfile()
 	// Without the I-cache.
 	sysA := NewSystem(Parity1DFactory(), Parity1DFactory())
-	coreA := NewCore(Table1Config(), sysA.L1())
-	base := coreA.Run(p.NewGen(1), 100000)
+	coreA := NewCoreWithPort(Table1Config(), sysA.Port())
+	base := run(t, coreA, p.NewGen(1), 100000)
 
 	// With a 16KB L1I over a 64KB code footprint: extra front-end stalls.
 	sysB := NewSystem(Parity1DFactory(), Parity1DFactory())
-	coreB := NewCore(Table1Config(), sysB.L1())
+	coreB := NewCoreWithPort(Table1Config(), sysB.Port())
 	coreB.SetICache(sysB.L1I, 64<<10)
-	with := coreB.Run(p.NewGen(1), 100000)
+	with := run(t, coreB, p.NewGen(1), 100000)
 
 	if sysB.L1I.Stats.Accesses() == 0 {
 		t.Fatal("L1I never accessed")
@@ -196,9 +226,9 @@ func TestICacheModeling(t *testing.T) {
 func TestHaltTruncatesInstructionCount(t *testing.T) {
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
 	defer sys.Release()
-	core := NewCore(Table1Config(), sys.L1())
+	core := NewCoreWithPort(Table1Config(), sys.Port())
 	p := gzipProfile()
-	core.Run(p.NewGen(1), 50000) // dirty a working set
+	run(t, core, p.NewGen(1), 50000) // dirty a working set
 
 	// Corrupt every resident dirty word: under parity-1d a dirty fault is
 	// uncorrectable, so the first load to any of them raises a DUE.
@@ -223,7 +253,7 @@ func TestHaltTruncatesInstructionCount(t *testing.T) {
 	}
 
 	const n = 200000
-	res := core.Run(p.NewGen(2), n)
+	res := run(t, core, p.NewGen(2), n)
 	if !res.Halted {
 		t.Fatal("machine did not halt on an uncorrectable dirty fault")
 	}
@@ -232,39 +262,6 @@ func TestHaltTruncatesInstructionCount(t *testing.T) {
 	}
 	if want := float64(res.Cycles) / float64(res.Instructions); res.CPI != want {
 		t.Errorf("CPI %v inconsistent with Cycles/Instructions = %v", res.CPI, want)
-	}
-}
-
-// TestStackPortMatchesControllerPort: the generalized StackPort over the
-// Table 1 two-level stack must reproduce the single-controller port
-// bit-for-bit — same timing, same per-level cache statistics — so the
-// Fig. 10 results are unchanged by the level-list refactor.
-func TestStackPortMatchesControllerPort(t *testing.T) {
-	p, ok := trace.ProfileByName("crafty")
-	if !ok {
-		t.Fatal("crafty profile missing")
-	}
-	const n = 150000
-	mk := func() *System {
-		return NewSystem(CPPCFactory(core.DefaultL1Config()), Parity1DFactory())
-	}
-
-	sysA := mk()
-	defer sysA.Release()
-	resA := NewCore(Table1Config(), sysA.L1()).Run(p.NewGen(7), n)
-
-	sysB := mk()
-	defer sysB.Release()
-	resB := NewCoreWithPort(Table1Config(), sysB.Port()).Run(p.NewGen(7), n)
-
-	if resA != resB {
-		t.Errorf("timing diverged:\n controller: %+v\n stack:      %+v", resA, resB)
-	}
-	if sysA.L1().Stats != sysB.L1().Stats {
-		t.Errorf("L1 stats diverged:\n controller: %+v\n stack:      %+v", sysA.L1().Stats, sysB.L1().Stats)
-	}
-	if sysA.L2().Stats != sysB.L2().Stats {
-		t.Errorf("L2 stats diverged:\n controller: %+v\n stack:      %+v", sysA.L2().Stats, sysB.L2().Stats)
 	}
 }
 
@@ -292,17 +289,17 @@ func TestWarmupFoldInvariance(t *testing.T) {
 
 	sysA := mk()
 	defer sysA.Release()
-	RunSourceWarm(p.NewGen(1), warm, meas, sysA)
+	runWarm(t, p.NewGen(1), warm, meas, sysA)
 	foldsA := folds(sysA)
 
 	// Same stream, warmup played as a throwaway measurement: the second
-	// RunSourceWarm resets at its (empty) warmup boundary and measures the
+	// RunSourceWarmCtx resets at its (empty) warmup boundary and measures the
 	// identical post-warmup instructions.
 	sysB := mk()
 	defer sysB.Release()
 	gen := p.NewGen(1)
-	RunSourceWarm(gen, 0, warm, sysB)
-	RunSourceWarm(gen, 0, meas, sysB)
+	runWarm(t, gen, 0, warm, sysB)
+	runWarm(t, gen, 0, meas, sysB)
 	foldsB := folds(sysB)
 
 	if foldsA == 0 {
@@ -318,9 +315,9 @@ func TestICacheFaultsAlwaysRecoverable(t *testing.T) {
 	// refetch recovers any fault — the reason the paper's correction
 	// machinery targets the data side.
 	sys := NewSystem(Parity1DFactory(), Parity1DFactory())
-	core := NewCore(Table1Config(), sys.L1())
+	core := NewCoreWithPort(Table1Config(), sys.Port())
 	core.SetICache(sys.L1I, 64<<10)
-	core.Run(gzipProfile().NewGen(2), 50000)
+	run(t, core, gzipProfile().NewGen(2), 50000)
 
 	// Strike a few resident instruction words directly.
 	n := 0
@@ -330,7 +327,7 @@ func TestICacheFaultsAlwaysRecoverable(t *testing.T) {
 			n++
 		}
 	}
-	core.Run(gzipProfile().NewGen(3), 50000)
+	run(t, core, gzipProfile().NewGen(3), 50000)
 	if sys.L1I.Halted {
 		t.Fatal("instruction cache fault was fatal")
 	}

@@ -27,9 +27,6 @@ type PrivateMemory interface {
 	PrivateHierarchy() bool
 }
 
-// PrivateHierarchy: a ControllerPort wraps one core's own stack.
-func (p ControllerPort) PrivateHierarchy() bool { return true }
-
 // PrivateHierarchy: a StackPort wraps one core's own level list.
 func (p StackPort) PrivateHierarchy() bool { return true }
 
@@ -80,12 +77,6 @@ type MulticoreResult struct {
 	Cycles       uint64  // wall clock: max completion cycle over cores
 	CPI          float64 // Cycles over instructions-per-core
 	Halted       bool    // a DUE stopped some core (the cluster stops with it)
-}
-
-// Run is RunCtx without cancellation.
-func (cl *Cluster) Run(n, quantum int) MulticoreResult {
-	res, _ := cl.RunCtx(context.Background(), n, quantum)
-	return res
 }
 
 // privateHierarchy reports whether every core's port declares its

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -30,6 +31,16 @@ func buildPrivateCluster(t *testing.T, n int) (*Cluster, []*System) {
 	return cl, systems
 }
 
+// runCluster runs cl on a background context.
+func runCluster(t *testing.T, cl *Cluster, n, quantum int) MulticoreResult {
+	t.Helper()
+	res, err := cl.RunCtx(context.Background(), n, quantum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestClusterParallelBitIdentical is the race-job determinism gate: a
 // parallel Cluster run must be bit-identical to the serial path — same
 // MulticoreResult, same final hierarchy state — for N ∈ {1, 2, 4} cores
@@ -39,7 +50,7 @@ func TestClusterParallelBitIdentical(t *testing.T) {
 	const instrs, quantum = 6_000, 0
 	for _, n := range []int{1, 2, 4} {
 		serial, serialSys := buildPrivateCluster(t, n)
-		serialRes := serial.Run(instrs, quantum)
+		serialRes := runCluster(t, serial, instrs, quantum)
 		serialStats := make([]interface{}, n)
 		for i, sys := range serialSys {
 			serialStats[i] = sys.L1().Stats
@@ -48,7 +59,7 @@ func TestClusterParallelBitIdentical(t *testing.T) {
 		for _, workers := range []int{2, 4, 7} {
 			par, parSys := buildPrivateCluster(t, n)
 			par.SetWorkers(workers)
-			parRes := par.Run(instrs, quantum)
+			parRes := runCluster(t, par, instrs, quantum)
 			if !reflect.DeepEqual(serialRes, parRes) {
 				t.Errorf("cores=%d workers=%d: parallel result diverged\nserial:   %+v\nparallel: %+v",
 					n, workers, serialRes, parRes)
@@ -151,7 +162,7 @@ func TestClusterFaultPlaneParallel(t *testing.T) {
 
 	serial, serialSys := buildPrivateCluster(t, cores)
 	arm(serialSys)
-	serialRes := serial.Run(instrs, quantum)
+	serialRes := runCluster(t, serial, instrs, quantum)
 	serialStats := make([]interface{}, cores)
 	for i, sys := range serialSys {
 		serialStats[i] = sys.L1().Stats
@@ -163,7 +174,7 @@ func TestClusterFaultPlaneParallel(t *testing.T) {
 	par, parSys := buildPrivateCluster(t, cores)
 	arm(parSys)
 	par.SetWorkers(cores)
-	parRes := par.Run(instrs, quantum)
+	parRes := runCluster(t, par, instrs, quantum)
 	if !reflect.DeepEqual(serialRes, parRes) {
 		t.Errorf("parallel run with armed fault planes diverged\nserial:   %+v\nparallel: %+v",
 			serialRes, parRes)

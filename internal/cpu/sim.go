@@ -116,33 +116,13 @@ func (sys *System) ResetStats() {
 	}
 }
 
-// RunBenchmark executes n instructions of a benchmark profile on the
-// Table 1 processor with the given memory system, returning the timing
-// result. The system's controllers accumulate cache statistics for the
-// energy and reliability models.
-func RunBenchmark(prof trace.Profile, n int, seed int64, sys *System) Result {
-	core := NewCoreWithPort(Table1Config(), sys.Port())
-	defer core.Release()
-	return core.Run(prof.NewGen(seed), n)
-}
-
-// RunBenchmarkWarm runs `warmup` instructions to fill the caches (the
-// SimPoint warm-up the paper's methodology implies), resets all statistics,
-// then measures `measure` instructions.
-func RunBenchmarkWarm(prof trace.Profile, warmup, measure int, seed int64, sys *System) Result {
-	return RunSourceWarm(prof.NewGen(seed), warmup, measure, sys)
-}
-
-// RunSourceWarm is RunBenchmarkWarm over any instruction source (e.g. a
-// recorded trace file).
-func RunSourceWarm(src trace.Source, warmup, measure int, sys *System) Result {
-	res, _ := RunSourceWarmCtx(context.Background(), src, warmup, measure, sys)
-	return res
-}
-
-// RunSourceWarmCtx is RunSourceWarm with cooperative cancellation. On
-// cancellation the partial measurement is discarded and the context's
-// error returned.
+// RunSourceWarmCtx runs src (a synthetic generator or a recorded trace)
+// on the Table 1 processor over sys: `warmup` instructions fill the
+// caches (the SimPoint warm-up the paper's methodology implies), every
+// statistic is reset, then `measure` instructions are timed. The
+// system's controllers keep the measure window's cache statistics for
+// the energy and reliability models. On cancellation the partial
+// measurement is discarded and the context's error returned.
 func RunSourceWarmCtx(ctx context.Context, src trace.Source, warmup, measure int, sys *System) (Result, error) {
 	core := NewCoreWithPort(Table1Config(), sys.Port())
 	defer core.Release()
@@ -155,7 +135,7 @@ func RunSourceWarmCtx(ctx context.Context, src trace.Source, warmup, measure int
 	if err != nil {
 		return Result{}, err
 	}
-	// core.Run returns cumulative cycles; subtract the warm-up portion.
+	// RunCtx returns cumulative cycles; subtract the warm-up portion.
 	m.Cycles -= w.Cycles
 	m.CPI = float64(m.Cycles) / float64(m.Instructions)
 	return m, nil

@@ -14,23 +14,36 @@ import (
 	"cppc/internal/trace"
 )
 
+// warmCPI runs b.Warmup then b.Measure instructions of src on c and
+// returns the measure window's CPI. Statistics are not reset in
+// between, so cache statistics read afterwards cover both windows.
+func warmCPI(ctx context.Context, c *cpu.Core, src trace.Source, b Budget) (float64, error) {
+	w, err := c.RunCtx(ctx, src, b.Warmup)
+	if err != nil {
+		return 0, err
+	}
+	m, err := c.RunCtx(ctx, src, b.Measure)
+	if err != nil {
+		return 0, err
+	}
+	return float64(m.Cycles-w.Cycles) / float64(m.Instructions), nil
+}
+
 // SinglePortAblation evaluates the Sec. 7 future-work question — "we will
 // also evaluate single-ported caches and their impact on the
 // read-before-write operations" — by re-running the Fig. 10 CPI
-// comparison with the L1 read and write ports merged.
-func SinglePortAblation(b Budget) (string, error) {
+// comparison with the L1 read and write ports merged. The context is
+// polled inside every simulation.
+func SinglePortAblation(ctx context.Context, b Budget) (string, error) {
 	t := tables.New("Sec. 7 ablation: single-ported L1 vs. split ports (CPI overhead over parity-1d)",
 		"benchmark", "cppc split", "cppc single", "2d split", "2d single")
-	run := func(p trace.Profile, mk cpu.SchemeFactory, single bool) float64 {
+	run := func(p trace.Profile, mk cpu.SchemeFactory, single bool) (float64, error) {
 		sys := cpu.NewSystem(mk, cpu.Parity1DFactory())
 		defer sys.Release()
 		cfg := cpu.Table1Config()
 		cfg.SinglePorted = single
 		c := cpu.NewCoreWithPort(cfg, sys.Port())
-		gen := p.NewMemoGen(b.Seed)
-		w := c.Run(gen, b.Warmup)
-		m := c.Run(gen, b.Measure)
-		return float64(m.Cycles-w.Cycles) / float64(m.Instructions)
+		return warmCPI(ctx, c, p.NewMemoGen(b.Seed), b)
 	}
 	for _, name := range []string{"crafty", "vortex", "swim"} {
 		p, ok := trace.ProfileByName(name)
@@ -47,8 +60,15 @@ func SinglePortAblation(b Budget) (string, error) {
 			{cpu.TwoDimFactory(), false},
 			{cpu.TwoDimFactory(), true},
 		} {
-			base := run(p, cpu.Parity1DFactory(), cfg.single)
-			over[i] = run(p, cfg.mk, cfg.single)/base - 1
+			base, err := run(p, cpu.Parity1DFactory(), cfg.single)
+			if err != nil {
+				return "", err
+			}
+			cpi, err := run(p, cfg.mk, cfg.single)
+			if err != nil {
+				return "", err
+			}
+			over[i] = cpi/base - 1
 		}
 		t.Addf(name,
 			tables.Pct(over[0]), tables.Pct(over[1]),
@@ -60,11 +80,16 @@ func SinglePortAblation(b Budget) (string, error) {
 		"reads remain negligible in both designs\n", nil
 }
 
+// cancelPollAccesses is how often EarlyWritebackAblation's access loop
+// polls its context.
+const cancelPollAccesses = 4096
+
 // EarlyWritebackAblation quantifies the related-work technique of [2, 15]
 // (Sec. 2): periodically cleaning dirty blocks trades write-back energy
 // for a smaller vulnerable population — which directly scales the
-// baseline parity MTTF and shortens CPPC's exposure windows.
-func EarlyWritebackAblation(accesses int, seed int64) (string, error) {
+// baseline parity MTTF and shortens CPPC's exposure windows. The
+// context is polled every cancelPollAccesses accesses.
+func EarlyWritebackAblation(ctx context.Context, accesses int, seed int64) (string, error) {
 	t := tables.New("Ablation: early write-back interval vs. dirty population",
 		"interval", "dirty L1", "write-backs", "early WBs", "parity-1d MTTF (yr)")
 	p, ok := trace.ProfileByName("gzip")
@@ -82,6 +107,11 @@ func EarlyWritebackAblation(accesses int, seed int64) (string, error) {
 		gen := p.NewMemoGen(seed)
 		var now uint64
 		for i := 0; i < accesses; {
+			if i%cancelPollAccesses == 0 {
+				if err := ctx.Err(); err != nil {
+					return "", err
+				}
+			}
 			in := gen.Next()
 			switch in.Op {
 			case trace.OpLoad:
@@ -115,8 +145,9 @@ func EarlyWritebackAblation(accesses int, seed int64) (string, error) {
 // elision is timing-neutral by construction (the compare rides the
 // read-before-write the incremental check-bit path already performs), so
 // the CPI ratio column must read 1.000 — the whole benefit is the
-// skipped array writes and register folds.
-func SilentStoreAblation(b Budget) (string, error) {
+// skipped array writes and register folds. The context is polled inside
+// every simulation.
+func SilentStoreAblation(ctx context.Context, b Budget) (string, error) {
 	t := tables.New("Fig. 11/12 ablation: silent-store elision (dynamic energy normalized to parity-1d)",
 		"benchmark", "L1 cppc", "L1 cppc-silent", "L2 cppc", "L2 cppc-silent", "elided/store", "CPI silent/cppc")
 	levelEnergy := func(r Run, id SchemeID, level int) float64 {
@@ -140,7 +171,7 @@ func SilentStoreAblation(b Budget) (string, error) {
 		}
 		runs := map[SchemeID]Run{}
 		for _, id := range []SchemeID{Parity1D, CPPC, CPPCSilent} {
-			r, err := SimulateCtx(context.Background(), p, id, b)
+			r, err := SimulateCtx(ctx, p, id, b)
 			if err != nil {
 				return "", fmt.Errorf("silent-store ablation %s/%s: %w", name, id, err)
 			}
@@ -179,8 +210,9 @@ func SilentStoreAblation(b Budget) (string, error) {
 // Table 1 L1I attached (instruction fetch through a 16KB direct-mapped
 // parity-protected cache sharing the unified L2). Instructions are
 // read-only, so parity alone fully protects them — the reason the paper's
-// machinery targets the data side.
-func ICacheAblation(b Budget) (string, error) {
+// machinery targets the data side. The context is polled inside every
+// simulation.
+func ICacheAblation(ctx context.Context, b Budget) (string, error) {
 	t := tables.New("Ablation: instruction-cache modeling (parity-1d data cache)",
 		"benchmark", "CPI no L1I", "CPI with L1I", "L1I miss rate")
 	for _, name := range []string{"gzip", "gcc", "swim"} {
@@ -188,20 +220,24 @@ func ICacheAblation(b Budget) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("icache ablation: profile %q not found", name)
 		}
-		run := func(withIC bool) (float64, float64) {
+		run := func(withIC bool) (cpi, missRate float64, err error) {
 			sys := cpu.NewSystem(cpu.Parity1DFactory(), cpu.Parity1DFactory())
 			defer sys.Release()
 			c := cpu.NewCoreWithPort(cpu.Table1Config(), sys.Port())
 			if withIC {
 				c.SetICache(sys.L1I, 64<<10)
 			}
-			gen := p.NewMemoGen(b.Seed)
-			w := c.Run(gen, b.Warmup)
-			m := c.Run(gen, b.Measure)
-			return float64(m.Cycles-w.Cycles) / float64(m.Instructions), sys.L1I.Stats.MissRate()
+			cpi, err = warmCPI(ctx, c, p.NewMemoGen(b.Seed), b)
+			return cpi, sys.L1I.Stats.MissRate(), err
 		}
-		base, _ := run(false)
-		with, mr := run(true)
+		base, _, err := run(false)
+		if err != nil {
+			return "", err
+		}
+		with, mr, err := run(true)
+		if err != nil {
+			return "", err
+		}
 		t.Addf(name, base, with, tables.Pct(mr))
 	}
 	return t.String(), nil

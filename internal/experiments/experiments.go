@@ -88,28 +88,17 @@ type Run struct {
 	Elided struct{ L1, L2 uint64 } // silent stores elided (cppc-silent)
 }
 
-// Simulate runs one benchmark under one scheme and collects everything
-// the figures need.
-func Simulate(prof trace.Profile, id SchemeID, b Budget) Run {
-	r, _ := SimulateCtx(context.Background(), prof, id, b)
-	return r
-}
-
-// SimulateCtx is Simulate with cooperative cancellation: the context is
-// polled inside the instruction loop, so even a multi-million-instruction
-// cell aborts promptly.
+// SimulateCtx runs one benchmark under one scheme and collects
+// everything the figures need. The context is polled inside the
+// instruction loop, so even a multi-million-instruction cell aborts
+// promptly.
 func SimulateCtx(ctx context.Context, prof trace.Profile, id SchemeID, b Budget) (Run, error) {
 	return SimulateSourceCtx(ctx, prof.Name, prof.NewMemoGen(b.Seed), id, b)
 }
 
-// SimulateSource is Simulate over any instruction source, e.g. a recorded
-// trace file.
-func SimulateSource(name string, src trace.Source, id SchemeID, b Budget) Run {
-	r, _ := SimulateSourceCtx(context.Background(), name, src, id, b)
-	return r
-}
-
-// SimulateSourceCtx is SimulateSource with cooperative cancellation.
+// SimulateSourceCtx runs any instruction source (a recorded trace file,
+// say) under one scheme, reporting the run under the given benchmark
+// name. The context is polled inside the instruction loop.
 func SimulateSourceCtx(ctx context.Context, name string, src trace.Source, id SchemeID, b Budget) (Run, error) {
 	l1f, l2f := schemeFactories(id)
 	sys := cpu.NewSystem(l1f, l2f)
@@ -192,18 +181,12 @@ type SuiteOptions struct {
 	OnProgress func(done, total int)
 }
 
-// RunSuite simulates every benchmark under every scheme. The 60
-// (benchmark, scheme) runs are independent, so they execute in parallel;
-// results are deterministic for a given budget and seed.
-func RunSuite(b Budget) *Suite {
-	s, _ := RunSuiteCtx(context.Background(), b, SuiteOptions{})
-	return s
-}
-
-// RunSuiteCtx is RunSuite with cooperative cancellation and bounded
-// fan-out: a counting semaphore caps concurrent cells at opt.Parallel.
-// On cancellation the partial suite is discarded and the first error
-// (always the context's) is returned.
+// RunSuiteCtx simulates every benchmark under every scheme. The 60
+// (benchmark, scheme) runs are independent, so they execute in parallel,
+// with a counting semaphore capping concurrent cells at opt.Parallel;
+// results are deterministic for a given budget and seed. On cancellation
+// the partial suite is discarded and the first error (always the
+// context's) is returned.
 func RunSuiteCtx(ctx context.Context, b Budget, opt SuiteOptions) (*Suite, error) {
 	cells := SuiteCells()
 	s := NewSuite(b)

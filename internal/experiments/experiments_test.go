@@ -12,6 +12,16 @@ import (
 // pipeline end to end.
 func tinyBudget() Budget { return Budget{Warmup: 40_000, Measure: 80_000, Seed: 1} }
 
+// simulate runs one cell on a background context.
+func simulate(t *testing.T, p trace.Profile, id SchemeID, b Budget) Run {
+	t.Helper()
+	r, err := SimulateCtx(context.Background(), p, id, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func tinySuite(t *testing.T) *Suite {
 	t.Helper()
 	// Three representative benchmarks: cache-friendly, store-heavy,
@@ -26,7 +36,7 @@ func tinySuite(t *testing.T) *Suite {
 		s.Order = append(s.Order, name)
 		s.Runs[name] = map[SchemeID]Run{}
 		for _, id := range []SchemeID{Parity1D, CPPC, SECDED, TwoDim} {
-			s.Runs[name][id] = Simulate(p, id, b)
+			s.Runs[name][id] = simulate(t, p, id, b)
 		}
 	}
 	return s
@@ -127,7 +137,10 @@ func TestSpatialCoverageReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo campaign")
 	}
-	out := SpatialCoverage(3, 5)
+	out, err := SpatialCoverageCtx(context.Background(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"cppc 1 pair", "cppc 8 pairs", "secded", "parity-1d"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("coverage report missing %q", want)
@@ -139,11 +152,17 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo campaign")
 	}
-	pa := PairAblation(4, 7)
+	pa, err := PairAblationCtx(context.Background(), 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(pa, "8") {
 		t.Error("pair ablation missing rows")
 	}
-	pd := ParityAblation(4, 7)
+	pd, err := ParityAblationCtx(context.Background(), 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(pd, "degree") {
 		t.Error("parity ablation missing header")
 	}
@@ -153,9 +172,9 @@ func TestSection7MulticoreReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coherence sweep")
 	}
-	out, err := Section7Multicore(Budget{Warmup: 5_000, Measure: 10_000, Seed: 3})
+	out, err := Section7MulticoreCtx(context.Background(), Budget{Warmup: 5_000, Measure: 10_000, Seed: 3})
 	if err != nil {
-		t.Fatalf("Section7Multicore: %v", err)
+		t.Fatalf("Section7MulticoreCtx: %v", err)
 	}
 	for _, want := range []string{"cores", "CPI", "slowdown", "RBW/store", "invalidations"} {
 		if !strings.Contains(out, want) {
@@ -173,11 +192,11 @@ func TestMulticoreCellDeterminism(t *testing.T) {
 		t.Fatal("gzip profile missing")
 	}
 	b := Budget{Warmup: 5_000, Measure: 15_000, Seed: 9}
-	r1, err := MulticoreCell(p, 2, 0.5, false, b)
+	r1, err := MulticoreCellCtx(context.Background(), p, 2, 0.5, false, b)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	r2, err := MulticoreCell(p, 2, 0.5, false, b)
+	r2, err := MulticoreCellCtx(context.Background(), p, 2, 0.5, false, b)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -196,7 +215,7 @@ func TestSinglePortAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing ablation")
 	}
-	out, err := SinglePortAblation(tinyBudget())
+	out, err := SinglePortAblation(context.Background(), tinyBudget())
 	if err != nil {
 		t.Fatalf("SinglePortAblation: %v", err)
 	}
@@ -211,7 +230,7 @@ func TestEarlyWritebackAblationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("policy ablation")
 	}
-	out, err := EarlyWritebackAblation(30_000, 3)
+	out, err := EarlyWritebackAblation(context.Background(), 30_000, 3)
 	if err != nil {
 		t.Fatalf("EarlyWritebackAblation: %v", err)
 	}
@@ -238,7 +257,10 @@ func TestMonteCarloValidationReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo lifetimes")
 	}
-	out := MonteCarloValidation(4, 5)
+	out, err := MonteCarloValidationCtx(context.Background(), 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"parity-1d", "cppc", "ratio", "lethality"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("MC validation report missing %q", want)
@@ -250,9 +272,9 @@ func TestSectionL3Report(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-level simulation")
 	}
-	out, err := SectionL3(Budget{Warmup: 30_000, Measure: 60_000, Seed: 1})
+	out, err := SectionL3Ctx(context.Background(), Budget{Warmup: 30_000, Measure: 60_000, Seed: 1})
 	if err != nil {
-		t.Fatalf("SectionL3: %v", err)
+		t.Fatalf("SectionL3Ctx: %v", err)
 	}
 	for _, want := range []string{"mcf", "RBW/store L3", "cppc/parity L3 energy",
 		"parity CPI", "cppc@L3 CPI", "cppc@L2 CPI"} {

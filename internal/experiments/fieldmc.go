@@ -11,14 +11,15 @@ import (
 	"cppc/internal/tables"
 )
 
-// FieldMC is the HARP-style field-mix profiler: Monte-Carlo campaigns
-// over a footprint × lifetime × rate grid (the fault classes the DDR4
-// field study reports, see PAPERS.md), classifying per scheme which
-// classes end Corrected / DUE / SDC. Unlike the transient-only spatial
-// study, persistent faults re-assert through the cache's fault plane on
-// every array consult — so the grid is where lifetimes visibly change
-// the scheme ranking: a stuck-at bit that parity-1d turns into a DUE
-// the moment a store dirties it is corrected by CPPC on every access.
+// FieldMCCtx and its cells form the HARP-style field-mix profiler:
+// Monte-Carlo campaigns over a footprint × lifetime × rate grid (the
+// fault classes the DDR4 field study reports, see PAPERS.md),
+// classifying per scheme which classes end Corrected / DUE / SDC. Unlike
+// the transient-only spatial study, persistent faults re-assert through
+// the cache's fault plane on every array consult — so the grid is where
+// lifetimes visibly change the scheme ranking: a stuck-at bit that
+// parity-1d turns into a DUE the moment a store dirties it is corrected
+// by CPPC on every access.
 //
 // Every cell draws its workload and placements from the same seed, so
 // schemes face identical fault sequences (a paired comparison, like the
@@ -174,10 +175,4 @@ func FieldMCCtx(ctx context.Context, trials int, seed int64) (string, error) {
 		}
 	}
 	return FieldMCTable(trials, cells), nil
-}
-
-// FieldMC is FieldMCCtx without cancellation.
-func FieldMC(trials int, seed int64) string {
-	s, _ := FieldMCCtx(context.Background(), trials, seed)
-	return s
 }

@@ -187,8 +187,3 @@ func L3Table(runs []L3Run) string {
 		"the level itself. The CPI columns show the timing side: an L3 hit is already 30\n" +
 		"cycles, so CPPC's stolen read-before-write slots are invisible at either level\n"
 }
-
-// SectionL3 is SectionL3Ctx without cancellation.
-func SectionL3(b Budget) (string, error) {
-	return SectionL3Ctx(context.Background(), b)
-}

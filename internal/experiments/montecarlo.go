@@ -11,17 +11,6 @@ import (
 	"cppc/internal/tables"
 )
 
-// MonteCarloValidation cross-checks the Table 3 analytical models with
-// accelerated-rate lifetime testing (the PARMA methodology [22] the
-// paper's Sec. 6.3 model derives from): faults arrive as a Poisson
-// process over a live cache, and the measured mean time to failure is
-// compared with the analytical prediction evaluated at the same rate and
-// the campaign's own measured dirty population and Tavg.
-func MonteCarloValidation(trials int, seed int64) string {
-	s, _ := MonteCarloValidationCtx(context.Background(), trials, seed)
-	return s
-}
-
 // Accelerated-rate campaign parameters shared by every Monte-Carlo cell.
 const (
 	mcLambda  = 2e-7 // faults per bit per access, accelerated
@@ -92,8 +81,13 @@ func MonteCarloTable(trials int, cells []MonteCarloCell) string {
 		"outlived the horizon (their lifetime is an underestimate)\n"
 }
 
-// MonteCarloValidationCtx is MonteCarloValidation with cooperative
-// cancellation plumbed into the per-trial campaign loops.
+// MonteCarloValidationCtx cross-checks the Table 3 analytical models
+// with accelerated-rate lifetime testing (the PARMA methodology [22] the
+// paper's Sec. 6.3 model derives from): faults arrive as a Poisson
+// process over a live cache, and the measured mean time to failure is
+// compared with the analytical prediction evaluated at the same rate and
+// the campaign's own measured dirty population and Tavg. The context is
+// polled inside the per-trial campaign loops.
 func MonteCarloValidationCtx(ctx context.Context, trials int, seed int64) (string, error) {
 	cells := make([]MonteCarloCell, 0, len(MonteCarloSchemes()))
 	for _, scheme := range MonteCarloSchemes() {

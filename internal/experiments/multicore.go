@@ -65,14 +65,9 @@ func (r MulticoreRun) TotalEnergyPJ() float64 {
 	return r.EnergyL1.Total() + r.EnergyL2.Total() + r.EnergyBus.Total()
 }
 
-// MulticoreCell runs one (profile, cores, sharedFrac) cell; silent
-// selects the cppc-silent variant in both cache levels.
-func MulticoreCell(prof trace.Profile, cores int, sharedFrac float64, silent bool, b Budget) (MulticoreRun, error) {
-	return MulticoreCellCtx(context.Background(), prof, cores, sharedFrac, silent, b)
-}
-
-// MulticoreCellCtx is MulticoreCell with cooperative cancellation. The
-// run is deterministic for a given (profile, cores, sharedFrac, silent,
+// MulticoreCellCtx runs one (profile, cores, sharedFrac) cell; silent
+// selects the cppc-silent variant in both cache levels. The run is
+// deterministic for a given (profile, cores, sharedFrac, silent,
 // budget): per-core trace seeds derive from b.Seed and the lock-step
 // order is fixed.
 func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, sharedFrac float64, silent bool, b Budget) (MulticoreRun, error) {
@@ -152,15 +147,6 @@ func MulticoreCellCtx(ctx context.Context, prof trace.Profile, cores int, shared
 	return r, nil
 }
 
-// Section7Multicore evaluates the paper's Sec. 7 multiprocessor
-// hypothesis on the timed machine: write-invalidate coherence steals
-// dirty blocks from their owners, so the read-before-write ratio — and
-// with it CPPC's energy overhead — drops as write sharing rises, while
-// the CPI column shows what bus occupancy and invalidation traffic cost.
-func Section7Multicore(b Budget) (string, error) {
-	return Section7MulticoreCtx(context.Background(), b)
-}
-
 // MulticorePoint is one (cores, sharedFrac) cell of the Sec. 7 sweep.
 type MulticorePoint struct {
 	Cores      int
@@ -228,10 +214,14 @@ func Section7Table(runs []MulticoreRun) string {
 		"the paper's hypothesis: invalidations remove dirty blocks, so RBW/store falls with sharing\n"
 }
 
-// Section7MulticoreCtx is Section7Multicore with cooperative
-// cancellation. It renders the plain-CPPC sweep followed by the
-// cppc-silent sweep, so the saved write+fold energy of elision is
-// visible cell by cell at identical CPI.
+// Section7MulticoreCtx evaluates the paper's Sec. 7 multiprocessor
+// hypothesis on the timed machine: write-invalidate coherence steals
+// dirty blocks from their owners, so the read-before-write ratio — and
+// with it CPPC's energy overhead — drops as write sharing rises, while
+// the CPI column shows what bus occupancy and invalidation traffic cost.
+// It renders the plain-CPPC sweep followed by the cppc-silent sweep, so
+// the saved write+fold energy of elision is visible cell by cell at
+// identical CPI.
 func Section7MulticoreCtx(ctx context.Context, b Budget) (string, error) {
 	prof, ok := trace.ProfileByName("gzip")
 	if !ok {

@@ -1,12 +1,25 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
+
+// runSuite runs the whole suite on a background context.
+func runSuite(t *testing.T, b Budget) *Suite {
+	t.Helper()
+	s, err := RunSuiteCtx(context.Background(), b, SuiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 func TestRunSuiteParallelRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel suite")
 	}
-	s := RunSuite(Budget{Warmup: 5_000, Measure: 10_000, Seed: 2})
+	s := runSuite(t, Budget{Warmup: 5_000, Measure: 10_000, Seed: 2})
 	if len(s.Order) != 15 {
 		t.Fatalf("suite ran %d benchmarks", len(s.Order))
 	}
@@ -16,7 +29,7 @@ func TestRunSuiteParallelRace(t *testing.T) {
 		}
 	}
 	// Determinism: a second run matches exactly.
-	s2 := RunSuite(Budget{Warmup: 5_000, Measure: 10_000, Seed: 2})
+	s2 := runSuite(t, Budget{Warmup: 5_000, Measure: 10_000, Seed: 2})
 	for _, b := range s.Order {
 		for id, run := range s.Runs[b] {
 			if run.CPI != s2.Runs[b][id].CPI {

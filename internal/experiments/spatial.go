@@ -10,17 +10,11 @@ import (
 	"cppc/internal/tables"
 )
 
-// SpatialCoverage runs the Monte-Carlo cross-check of Secs. 4.6 and 4.11:
-// spatial-MBE correction rates for square faults from 1x1 to 8x8, per
-// CPPC configuration, with the baselines alongside.
-func SpatialCoverage(trials int, seed int64) string {
-	s, _ := SpatialCoverageCtx(context.Background(), trials, seed)
-	return s
-}
-
-// SpatialCoverageCtx is SpatialCoverage with cooperative cancellation;
-// each shape's trials fan across the context's worker hint
-// (WithCellWorkers) with bit-identical rates at any count.
+// SpatialCoverageCtx runs the Monte-Carlo cross-check of Secs. 4.6 and
+// 4.11: spatial-MBE correction rates for square faults from 1x1 to 8x8,
+// per CPPC configuration, with the baselines alongside. Each shape's
+// trials fan across the context's worker hint (WithCellWorkers) with
+// bit-identical rates at any count.
 func SpatialCoverageCtx(ctx context.Context, trials int, seed int64) (string, error) {
 	configs := []struct {
 		name string
@@ -57,16 +51,9 @@ func cppcF(cfg core.Config) fault.SchemeFactory {
 	return func(c *cache.Cache) protect.Scheme { return protect.MustCPPC(c, cfg) }
 }
 
-// PairAblation summarizes the area/reliability trade-off of Secs. 3.4 and
-// 4.6: correction rate of 8x8 faults and aliasing exposure per register
-// pair count.
-func PairAblation(trials int, seed int64) string {
-	s, _ := PairAblationCtx(context.Background(), trials, seed)
-	return s
-}
-
-// PairAblationCtx is PairAblation with cooperative cancellation and
-// trial fan-out up to the context's worker hint.
+// PairAblationCtx summarizes the area/reliability trade-off of Secs. 3.4
+// and 4.6: correction rate of 8x8 faults and aliasing exposure per
+// register pair count. Trials fan out up to the context's worker hint.
 func PairAblationCtx(ctx context.Context, trials int, seed int64) (string, error) {
 	t := tables.New("Ablation: register pairs vs. 8x8 spatial coverage",
 		"pairs", "corrected", "DUE", "SDC")
@@ -81,15 +68,9 @@ func PairAblationCtx(ctx context.Context, trials int, seed int64) (string, error
 	return t.String(), nil
 }
 
-// ParityAblation sweeps the parity degree (Sec. 3.4's first scaling knob)
-// against temporal two-bit faults.
-func ParityAblation(trials int, seed int64) string {
-	s, _ := ParityAblationCtx(context.Background(), trials, seed)
-	return s
-}
-
-// ParityAblationCtx is ParityAblation with cooperative cancellation and
-// trial fan-out up to the context's worker hint.
+// ParityAblationCtx sweeps the parity degree (Sec. 3.4's first scaling
+// knob) against temporal two-bit faults. Trials fan out up to the
+// context's worker hint.
 func ParityAblationCtx(ctx context.Context, trials int, seed int64) (string, error) {
 	t := tables.New("Ablation: parity degree vs. temporal 2-bit faults",
 		"degree", "corrected", "DUE", "SDC")

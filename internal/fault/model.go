@@ -267,22 +267,15 @@ func (c *Campaign) Exercise(m Model, faults, n, footprintBytes int) (Outcome, bo
 	return Corrected, false
 }
 
-// RunModelTrials runs `trials` independent lifetimes of a fault model:
-// populate, then a checked exercise window with `faults` injections,
-// then a full probe sweep.
-func RunModelTrials(mk SchemeFactory, m Model, faults, trials int, seed int64) Counts {
-	out, _ := RunModelTrialsCtx(context.Background(), campaignCacheConfig(), mk, m, faults, trials, seed)
-	return out
-}
-
-// RunModelTrialsCtx is RunModelTrials over an explicit layout with
-// cooperative cancellation (polled between trials) and trial
-// parallelism up to the context's worker hint (par.WithWorkers /
-// experiments.WithCellWorkers). Trial i runs on stream seed+i whatever
-// the worker count, so the counts are bit-identical to the sequential
-// loop's.
+// RunModelTrialsCtx runs `trials` independent lifetimes of a fault
+// model over the ccfg layout: populate, then a checked exercise window
+// with `faults` injections, then a full probe sweep. Cancellation is
+// polled between trials, and trials fan out up to the context's worker
+// hint (par.WithWorkers / experiments.WithCellWorkers). Trial i runs on
+// stream seed+i whatever the worker count, so the counts are
+// bit-identical to the sequential loop's.
 func RunModelTrialsCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, m Model, faults, trials int, seed int64) (Counts, error) {
-	res, err := runTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
+	return countTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
 		camp := a.newCampaign(ccfg, mk, seed+int64(i))
 		defer a.endTrial()
 		camp.Populate(4000, 8192)
@@ -292,12 +285,4 @@ func RunModelTrialsCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory,
 		}
 		return outcome, nil
 	})
-	if err != nil {
-		return Counts{}, err
-	}
-	var out Counts
-	for _, o := range res {
-		out.note(o)
-	}
-	return out, nil
 }

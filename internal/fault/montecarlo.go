@@ -45,13 +45,6 @@ func (r MCResult) MeasuredLethality() float64 {
 	return float64(r.DUEs+r.SDCs) / float64(r.FaultsInjected)
 }
 
-// MonteCarloMTTF runs `trials` independent lifetimes under fault rate
-// lambda (faults per bit per access) with a horizon of maxAccesses.
-func MonteCarloMTTF(mk SchemeFactory, lambda float64, trials, maxAccesses int, seed int64) MCResult {
-	res, _ := MonteCarloMTTFCtx(context.Background(), mk, lambda, trials, maxAccesses, seed)
-	return res
-}
-
 // cancelPollAccesses is how often the trial loop polls its context.
 const cancelPollAccesses = 8192
 
@@ -65,14 +58,15 @@ type mcTrial struct {
 	tavg               float64
 }
 
-// MonteCarloMTTFCtx is MonteCarloMTTF with cooperative cancellation (the
-// context is polled between trials and every few thousand accesses
-// inside a trial, so long campaigns abort promptly; on cancellation the
-// partial campaign is discarded and the context's error returned) and
-// trial parallelism up to the context's worker hint. Trial i draws from
-// stream seed+i whatever the worker count, and the lifetime/dirty/Tavg
-// float accumulators replay in trial order after the barrier, so the
-// result is bit-identical to the sequential loop's.
+// MonteCarloMTTFCtx runs `trials` independent lifetimes under fault
+// rate lambda (faults per bit per access) with a horizon of
+// maxAccesses. The context is polled between trials and every few
+// thousand accesses inside a trial, so long campaigns abort promptly; on
+// cancellation the partial campaign is discarded and the context's error
+// returned. Trials fan out up to the context's worker hint. Trial i
+// draws from stream seed+i whatever the worker count, and the
+// lifetime/dirty/Tavg float accumulators replay in trial order after the
+// barrier, so the result is bit-identical to the sequential loop's.
 func MonteCarloMTTFCtx(ctx context.Context, mk SchemeFactory, lambda float64, trials, maxAccesses int, seed int64) (MCResult, error) {
 	perTrial, err := runTrials(ctx, trials, func(tctx context.Context, a *Arena, trial int) (mcTrial, error) {
 		return a.mcTrial(tctx, mk, lambda, maxAccesses, seed+int64(trial))
@@ -110,7 +104,7 @@ func MonteCarloMTTFCtx(ctx context.Context, mk SchemeFactory, lambda float64, tr
 func (a *Arena) mcTrial(ctx context.Context, mk SchemeFactory, lambda float64, maxAccesses int, seed int64) (mcTrial, error) {
 	a.rng.Seed(seed)
 	rng := &a.rng
-	ccfg := campaignCacheConfig()
+	ccfg := CampaignCacheConfig()
 	c := cache.New(ccfg)
 	defer c.Release()
 	if a.mem == nil {

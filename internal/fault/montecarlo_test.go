@@ -14,8 +14,8 @@ func TestMonteCarloOrdering(t *testing.T) {
 		t.Skip("Monte-Carlo lifetimes")
 	}
 	const lambda = 2e-7 // per bit per access, accelerated
-	par := MonteCarloMTTF(parityFactory(), lambda, 10, 60_000, 41)
-	cp := MonteCarloMTTF(cppcFactory(core.DefaultL1Config()), lambda, 10, 60_000, 41)
+	par := monteCarlo(t, parityFactory(), lambda, 10, 60_000, 41)
+	cp := monteCarlo(t, cppcFactory(core.DefaultL1Config()), lambda, 10, 60_000, 41)
 
 	if par.Censored == par.Trials {
 		t.Fatal("parity never failed; raise lambda")
@@ -37,7 +37,7 @@ func TestMonteCarloMatchesAnalyticParity(t *testing.T) {
 		t.Skip("Monte-Carlo lifetimes")
 	}
 	const lambda = 4e-7
-	res := MonteCarloMTTF(parityFactory(), lambda, 20, 120_000, 43)
+	res := monteCarlo(t, parityFactory(), lambda, 20, 120_000, 43)
 	if res.Censored > res.Trials/2 {
 		t.Fatalf("too many censored trials: %+v", res)
 	}
@@ -58,7 +58,7 @@ func TestMonteCarloCPPCWithinModelRange(t *testing.T) {
 		t.Skip("Monte-Carlo lifetimes")
 	}
 	const lambda = 3e-6 // hot enough that double faults happen in-window
-	res := MonteCarloMTTF(cppcFactory(core.DefaultL1Config()), lambda, 15, 150_000, 47)
+	res := monteCarlo(t, cppcFactory(core.DefaultL1Config()), lambda, 15, 150_000, 47)
 	if res.Censored == res.Trials {
 		t.Skip("no failures at this rate; model comparison impossible")
 	}
@@ -94,8 +94,8 @@ func TestMeasuredLethality(t *testing.T) {
 		t.Skip("Monte-Carlo lifetimes")
 	}
 	const lambda = 2e-7
-	par := MonteCarloMTTF(parityFactory(), lambda, 10, 120_000, 51)
-	cp := MonteCarloMTTF(cppcFactory(core.DefaultL1Config()), lambda, 10, 120_000, 51)
+	par := monteCarlo(t, parityFactory(), lambda, 10, 120_000, 51)
+	cp := monteCarlo(t, cppcFactory(core.DefaultL1Config()), lambda, 10, 120_000, 51)
 	pl, cl := par.MeasuredLethality(), cp.MeasuredLethality()
 	if pl <= 0 || pl > 1 {
 		t.Fatalf("parity lethality %.3f out of range (%+v)", pl, par)

@@ -180,17 +180,26 @@ func runTrials[T any](ctx context.Context, trials int, run func(ctx context.Cont
 	return out, nil
 }
 
-// note accumulates one trial outcome; campaigns replay it in trial
-// order over the executor's index-addressed results (the additive
-// reduction is order-free, but replaying in order keeps the rule
-// uniform with the float accumulators of the MTTF campaign).
-func (c *Counts) note(o Outcome) {
-	switch o {
-	case Corrected:
-		c.Corrected++
-	case DUE:
-		c.DUE++
-	case SDC:
-		c.SDC++
+// countTrials runs a campaign of single-outcome trials through
+// runTrials and tallies the outcomes. The tally replays in trial order
+// over the executor's index-addressed results (the additive reduction
+// is order-free, but replaying in order keeps the rule uniform with the
+// float accumulators of the MTTF campaign).
+func countTrials(ctx context.Context, trials int, run func(ctx context.Context, a *Arena, trial int) (Outcome, error)) (Counts, error) {
+	res, err := runTrials(ctx, trials, run)
+	if err != nil {
+		return Counts{}, err
 	}
+	var out Counts
+	for _, o := range res {
+		switch o {
+		case Corrected:
+			out.Corrected++
+		case DUE:
+			out.DUE++
+		case SDC:
+			out.SDC++
+		}
+	}
+	return out, nil
 }

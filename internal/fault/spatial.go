@@ -33,10 +33,11 @@ func (c Counts) String() string {
 	return fmt.Sprintf("corrected=%d DUE=%d SDC=%d", c.Corrected, c.DUE, c.SDC)
 }
 
-// campaignCacheConfig is the small dense cache used for injection trials:
-// direct-mapped so spatial placement is easy to reason about, with one
-// block per physical row.
-func campaignCacheConfig() cache.Config {
+// CampaignCacheConfig is the small dense cache used for injection
+// trials: direct-mapped so spatial placement is easy to reason about,
+// with one block per physical row. The experiments profiler runs every
+// scheme over this array.
+func CampaignCacheConfig() cache.Config {
 	cfg, err := cache.Config{
 		Name: "campaign", SizeBytes: 4096, Ways: 1, BlockBytes: 32,
 		DirtyGranuleWords: 1, HitLatencyCycles: 2,
@@ -47,17 +48,10 @@ func campaignCacheConfig() cache.Config {
 	return cfg
 }
 
-// CampaignCacheConfig exposes the campaign layout to the experiments
-// profiler, which runs every scheme over the same array.
-func CampaignCacheConfig() cache.Config { return campaignCacheConfig() }
-
-// InterleavedCampaignConfig exposes the bit-interleaved campaign layout
-// (the SECDED pairing) to external drivers.
-func InterleavedCampaignConfig() cache.Config { return interleavedCampaignConfig() }
-
-// interleavedCampaignConfig is the campaign cache with 8-way physical bit
-// interleaving (8 words per row), the layout the paper pairs with SECDED.
-func interleavedCampaignConfig() cache.Config {
+// InterleavedCampaignConfig is the campaign cache with 8-way physical
+// bit interleaving (8 words per row), the layout the paper pairs with
+// SECDED.
+func InterleavedCampaignConfig() cache.Config {
 	cfg, err := cache.Config{
 		Name: "campaign-il", SizeBytes: 4096, Ways: 1, BlockBytes: 32,
 		DirtyGranuleWords: 1, HitLatencyCycles: 2,
@@ -69,31 +63,14 @@ func interleavedCampaignConfig() cache.Config {
 	return cfg
 }
 
-// RunSpatialTrials runs `trials` independent spatial-fault injections of
-// an HxW square against a fresh populated cache each time.
-func RunSpatialTrials(mk SchemeFactory, h, w, trials int, seed int64) Counts {
-	return RunSpatialTrialsCfg(campaignCacheConfig(), mk, h, w, trials, seed)
-}
-
-// RunSpatialTrialsInterleaved is RunSpatialTrials over the bit-interleaved
-// layout.
-func RunSpatialTrialsInterleaved(mk SchemeFactory, h, w, trials int, seed int64) Counts {
-	return RunSpatialTrialsCfg(interleavedCampaignConfig(), mk, h, w, trials, seed)
-}
-
-// RunSpatialTrialsCfg runs spatial trials over an explicit cache layout.
-func RunSpatialTrialsCfg(ccfg cache.Config, mk SchemeFactory, h, w, trials int, seed int64) Counts {
-	out, _ := RunSpatialTrialsCfgCtx(context.Background(), ccfg, mk, h, w, trials, seed)
-	return out
-}
-
-// RunSpatialTrialsCfgCtx is RunSpatialTrialsCfg with cooperative
-// cancellation (polled between trials) and trial parallelism up to the
-// context's worker hint; trial i runs on stream seed+i whatever the
-// worker count, so the counts are bit-identical to the sequential
-// loop's.
+// RunSpatialTrialsCfgCtx runs `trials` independent spatial-fault
+// injections of an HxW square over the ccfg layout, each against a
+// freshly populated cache. Cancellation is polled between trials, and
+// trials fan out up to the context's worker hint; trial i runs on
+// stream seed+i whatever the worker count, so the counts do not depend
+// on it.
 func RunSpatialTrialsCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, h, w, trials int, seed int64) (Counts, error) {
-	res, err := runTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
+	return countTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
 		camp := a.newCampaign(ccfg, mk, seed+int64(i))
 		defer a.endTrial()
 		camp.Populate(4000, 8192)
@@ -102,29 +79,15 @@ func RunSpatialTrialsCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFac
 		}
 		return camp.Probe(), nil
 	})
-	if err != nil {
-		return Counts{}, err
-	}
-	var out Counts
-	for _, o := range res {
-		out.note(o)
-	}
-	return out, nil
 }
 
-// RunTemporalTrials injects `bits` independent single-bit flips at random
-// resident words (temporal multi-bit when bits > 1), per trial.
-func RunTemporalTrials(mk SchemeFactory, bits, trials int, seed int64) Counts {
-	out, _ := RunTemporalTrialsCtx(context.Background(), mk, bits, trials, seed)
-	return out
-}
-
-// RunTemporalTrialsCtx is RunTemporalTrials with cooperative
-// cancellation (polled between trials) and trial parallelism up to the
-// context's worker hint; counts are bit-identical at any worker count.
+// RunTemporalTrialsCtx injects `bits` independent single-bit flips at
+// random resident words of the campaign cache (temporal multi-bit when
+// bits > 1), per trial. Cancellation and trial parallelism work as in
+// RunSpatialTrialsCfgCtx; the counts do not depend on the worker count.
 func RunTemporalTrialsCtx(ctx context.Context, mk SchemeFactory, bits, trials int, seed int64) (Counts, error) {
-	res, err := runTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
-		camp := a.newCampaign(campaignCacheConfig(), mk, seed+int64(i))
+	return countTrials(ctx, trials, func(_ context.Context, a *Arena, i int) (Outcome, error) {
+		camp := a.newCampaign(CampaignCacheConfig(), mk, seed+int64(i))
 		defer a.endTrial()
 		camp.Populate(4000, 8192)
 		flipped := 0
@@ -136,24 +99,11 @@ func RunTemporalTrialsCtx(ctx context.Context, mk SchemeFactory, bits, trials in
 		}
 		return camp.Probe(), nil
 	})
-	if err != nil {
-		return Counts{}, err
-	}
-	var out Counts
-	for _, o := range res {
-		out.note(o)
-	}
-	return out, nil
 }
 
-// CoverageMatrix sweeps spatial squares from 1x1 to maxSize x maxSize and
-// returns the per-shape counts, indexed [height-1][width-1].
-func CoverageMatrix(mk SchemeFactory, maxSize, trials int, seed int64) [][]Counts {
-	return CoverageMatrixCfg(campaignCacheConfig(), mk, maxSize, trials, seed)
-}
-
-// CoverageMatrixCfgCtx is CoverageMatrixCfg with cooperative
-// cancellation, polled between trial batches.
+// CoverageMatrixCfgCtx sweeps spatial squares from 1x1 to maxSize x
+// maxSize over the ccfg layout and returns the per-shape counts, indexed
+// [height-1][width-1]. Cancellation is polled between trials.
 func CoverageMatrixCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFactory, maxSize, trials int, seed int64) ([][]Counts, error) {
 	m := make([][]Counts, maxSize)
 	for h := 1; h <= maxSize; h++ {
@@ -167,18 +117,6 @@ func CoverageMatrixCfgCtx(ctx context.Context, ccfg cache.Config, mk SchemeFacto
 		}
 	}
 	return m, nil
-}
-
-// CoverageMatrixInterleaved is CoverageMatrix over the bit-interleaved
-// layout (the SECDED configuration).
-func CoverageMatrixInterleaved(mk SchemeFactory, maxSize, trials int, seed int64) [][]Counts {
-	return CoverageMatrixCfg(interleavedCampaignConfig(), mk, maxSize, trials, seed)
-}
-
-// CoverageMatrixCfg sweeps spatial squares over an explicit cache layout.
-func CoverageMatrixCfg(ccfg cache.Config, mk SchemeFactory, maxSize, trials int, seed int64) [][]Counts {
-	m, _ := CoverageMatrixCfgCtx(context.Background(), ccfg, mk, maxSize, trials, seed)
-	return m
 }
 
 // FormatMatrix renders a coverage matrix as rows of correction rates.

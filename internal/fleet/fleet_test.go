@@ -322,11 +322,12 @@ func newFakePeer(queue []service.QueuedCell) *fakePeer {
 		json.NewEncoder(w).Encode(claimBatchResponse{Results: results})
 	})
 	mux.HandleFunc("POST /fleet/claims/{hash}", func(w http.ResponseWriter, r *http.Request) {
+		// No daemon serves per-hash claims; a request here is a client
+		// regression, counted and refused.
 		f.mu.Lock()
 		f.singlePosts++
 		f.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(claimResponse{Granted: true, Owner: r.URL.Query().Get("owner")})
+		http.NotFound(w, r)
 	})
 	mux.HandleFunc("PUT /fleet/cells/{hash}", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)

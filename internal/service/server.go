@@ -10,7 +10,7 @@ import (
 
 // Server is the HTTP front-end over a Service.
 //
-//	POST   /jobs             submit a JobSpec; 202 + job snapshot (200 on cache hit)
+//	POST   /jobs             submit a JobSpec (at most 1 MiB); 202 + job snapshot (200 on cache hit)
 //	GET    /jobs             list all jobs
 //	GET    /jobs/{id}        one job's status
 //	GET    /jobs/{id}/result finished job's Result
@@ -67,9 +67,20 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxJobSpecBytes bounds a POST /jobs body. A job spec is a few hundred
+// bytes of JSON, so a body this large is broken or hostile; reading
+// stops at the bound and the request is refused with 413.
+const maxJobSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("job spec larger than %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}

@@ -70,6 +70,40 @@ func waitForState(t *testing.T, base, id string, want func(service.Job) bool, ti
 	}
 }
 
+// TestSubmitRejectsOversizedBody: POST /jobs reads at most 1 MiB and
+// answers a larger body with 413 and a message naming the limit; the
+// request never reaches the scheduler.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Shutdown(context.Background())
+	ts := httptest.NewServer(service.NewServer(svc).Handler())
+	defer ts.Close()
+
+	body := `{"kind":"simulate","bench":"` + strings.Repeat("a", 1<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", resp.StatusCode)
+	}
+	var msg map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatalf("decode error body: %v", err)
+	}
+	if !strings.Contains(msg["error"], "1048576 bytes") {
+		t.Errorf("413 message %q does not name the limit", msg["error"])
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Errorf("oversized spec created %d jobs", len(jobs))
+	}
+	// A small spec on the same server is still accepted.
+	if _, code := postJob(t, ts.URL, `{"kind":"simulate","bench":"mcf","scheme":"cppc","warmup":1000,"measure":2000}`); code != http.StatusAccepted && code != http.StatusOK {
+		t.Errorf("small spec after the oversized one: status %d", code)
+	}
+}
+
 // --- The acceptance-path end-to-end test --------------------------------
 
 // TestServerEndToEnd drives the whole daemon over HTTP: submit the

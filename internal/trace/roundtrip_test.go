@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cppc/internal/experiments"
@@ -60,8 +61,14 @@ func TestTraceRoundTripCPI(t *testing.T) {
 		t.Fatalf("ParseTrace: %v", err)
 	}
 
-	direct := experiments.SimulateSource(prof.Name, prof.NewGen(b.Seed), experiments.CPPC, b)
-	replay := experiments.SimulateSource(prof.Name, fs, experiments.CPPC, b)
+	direct, err := experiments.SimulateSourceCtx(context.Background(), prof.Name, prof.NewGen(b.Seed), experiments.CPPC, b)
+	if err != nil {
+		t.Fatalf("generated run: %v", err)
+	}
+	replay, err := experiments.SimulateSourceCtx(context.Background(), prof.Name, fs, experiments.CPPC, b)
+	if err != nil {
+		t.Fatalf("replayed run: %v", err)
+	}
 
 	if direct.CPI != replay.CPI {
 		t.Fatalf("CPI diverged: generated %.6f, replayed %.6f", direct.CPI, replay.CPI)
