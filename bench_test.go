@@ -260,6 +260,35 @@ func BenchmarkHammingDecode256(b *testing.B) {
 	}
 }
 
+// BenchmarkHammingEncode256 measures the block-level SECDED encode on
+// every L2 fill and store.
+func BenchmarkHammingEncode256(b *testing.B) {
+	h := parity.MustHamming(256)
+	data := []uint64{1, 2, 3, 4}
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		data[0] = uint64(i)
+		sink ^= h.Encode(data)
+	}
+	if sink == 1<<63 {
+		b.Fatal("encode sink")
+	}
+}
+
+// BenchmarkHammingDecode64 measures the per-word (72,64) decode on every
+// L1 load, through the generic code the simulator uses.
+func BenchmarkHammingDecode64(b *testing.B) {
+	h := parity.MustHamming(64)
+	data := []uint64{0xdeadbeefcafebabe}
+	check := h.Encode(data)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := h.Decode(data, check); res.Outcome != parity.SECDEDClean {
+			b.Fatal("decode broke")
+		}
+	}
+}
+
 // BenchmarkSection7Multicore runs a short timed coherence sweep (the
 // Sec. 7 multiprocessor experiment).
 func BenchmarkSection7Multicore(b *testing.B) {

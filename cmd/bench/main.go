@@ -203,6 +203,31 @@ var entries = []struct {
 			}
 		}
 	}},
+	{"HammingEncode256", func(b *testing.B) {
+		b.ReportAllocs()
+		h := parity.MustHamming(256)
+		data := []uint64{1, 2, 3, 4}
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			data[0] = uint64(i)
+			sink ^= h.Encode(data)
+		}
+		if sink == 1<<63 {
+			panic("encode sink")
+		}
+	}},
+	{"HammingDecode64", func(b *testing.B) {
+		b.ReportAllocs()
+		h := parity.MustHamming(64)
+		data := []uint64{0xdeadbeefcafebabe}
+		check := h.Encode(data)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := h.Decode(data, check); res.Outcome != parity.SECDEDClean {
+				panic("decode broke")
+			}
+		}
+	}},
 	{"CellStoreDiskPut", func(b *testing.B) {
 		b.ReportAllocs()
 		d, dir := benchDisk()

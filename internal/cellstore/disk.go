@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -65,8 +66,11 @@ func (d *Disk) Get(hash string) ([]byte, bool) {
 }
 
 // Put writes the entry atomically and GCs the tier back under its byte
-// budget. Write or rename failures drop the entry silently (the memory
-// tier above still has it; the cell can always be recomputed).
+// budget. An existing entry is replaced the same way: the service puts a
+// stored hash again when its bytes failed to decode, so the rewrite is
+// what heals a corrupt entry. Write or rename failures drop the entry
+// silently (the memory tier above still has it; the cell can always be
+// recomputed).
 func (d *Disk) Put(hash string, data []byte) {
 	if !validHash(hash) {
 		return
@@ -74,9 +78,6 @@ func (d *Disk) Put(hash string, data []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ensureIndexLocked()
-	if _, ok := d.sizes[hash]; ok {
-		return // content-addressed: an existing entry is already correct
-	}
 	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
 	if err != nil {
 		return
@@ -90,6 +91,13 @@ func (d *Disk) Put(hash string, data []byte) {
 	if err := os.Rename(tmp.Name(), filepath.Join(d.dir, hash)); err != nil {
 		os.Remove(tmp.Name())
 		return
+	}
+	if old, ok := d.sizes[hash]; ok {
+		// The rewritten file is now the newest by modification time, so
+		// it moves to the back of the eviction order, as a restart's
+		// directory scan would place it.
+		d.bytes -= old
+		d.order = slices.DeleteFunc(d.order, func(h string) bool { return h == hash })
 	}
 	d.sizes[hash] = int64(len(data))
 	d.order = append(d.order, hash)

@@ -118,6 +118,44 @@ func TestDiskPutGetWarmRestart(t *testing.T) {
 	}
 }
 
+// TestDiskPutHealsCorruptEntry: a torn or corrupt entry is replaced by
+// the next Put of the same hash, the byte accounting follows the new
+// size, and the healed bytes survive a restart.
+func TestDiskPutHealsCorruptEntry(t *testing.T) {
+	dir := t.TempDir()
+	d1, err := NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("cell result bytes")
+	d1.Put(h(1), want)
+	d1.Put(h(2), []byte("other"))
+	if err := os.Truncate(filepath.Join(dir, h(1)), 4); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d1.Get(h(1)); bytes.Equal(got, want) {
+		t.Fatalf("truncation did not corrupt the entry")
+	}
+	d1.Put(h(1), want)
+	if got, ok := d1.Get(h(1)); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("get after healing put = %q, %v", got, ok)
+	}
+	if st := d1.Stats()[0]; st.Entries != 2 || st.Bytes != int64(len(want)+len("other")) {
+		t.Fatalf("index after healing put = %+v", st)
+	}
+	if len(d1.order) != 2 {
+		t.Fatalf("eviction order holds %d entries, want 2", len(d1.order))
+	}
+
+	d2, err := NewDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := d2.Get(h(1)); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("healed entry after restart = %q, %v", got, ok)
+	}
+}
+
 // TestDiskGC bounds the tier: puts beyond maxBytes evict the oldest
 // files, on the index carried across a restart too.
 func TestDiskGC(t *testing.T) {
